@@ -15,8 +15,8 @@
   (``repro-lb bench rebalance``): pin the incremental-repair-vs-from-scratch
   speedup of ``Pipeline.rebalance`` for single-task deltas;
 * :mod:`~repro.bench.stress_xl` — the ``stress-xl`` tier
-  (``repro-lb bench stress-xl``): time-vs-N scaling curves of the balancer
-  on the flat-array kernels, gated on the fitted exponent.
+  (``repro-lb bench stress-xl``): time-vs-N scaling curves of the balancer,
+  gated on the fitted exponent.
 """
 
 from repro.bench.artifact import (

@@ -2,8 +2,7 @@
 
 The ROADMAP north-star asks for balancing at N=5k–50k tasks; this tier
 measures how the two hot stages — the initial scheduler and the paper
-balancer on the flat-array kernels (:mod:`repro.core.kernels`) — scale with
-N at **fixed M**, and records the result as a first-class, diffable
+balancer — scale with N at **fixed M**, and records the result as a first-class, diffable
 ``repro-bench/1`` artifact rather than a one-off timing.
 
 Each tier point runs the full stage pair on a synthetic workload
@@ -68,7 +67,7 @@ XL_CURVE_NAME = "XL-curve"
 
 #: Acceptance ceiling on the fitted ``time ∝ N^exponent`` exponent of the
 #: balance stage.  The per-block candidate loop is O(M·N_blocks) block
-#: evaluations with near-logarithmic per-query cost on the array kernels;
+#: evaluations with near-logarithmic per-query cost on the occupancy timelines;
 #: allowing up to quadratic growth keeps the gate robust to fit noise on the
 #: smoke rung while still catching an O(n²) regression of the seeding or
 #: query paths (which lands well above 2 once the linear factors return).
@@ -105,7 +104,6 @@ def run_stress_xl_bench(
     preset: str = "smoke",
     repeats: int = 2,
     seed: int = 2008,
-    engine: str = "array",
 ) -> BenchArtifact:
     """Run the stress-xl scaling tier and return its artifact.
 
@@ -125,7 +123,6 @@ def run_stress_xl_bench(
         attach_communications=False,
         verify_result=False,
         retry_until_feasible=False,
-        engine=engine,
     )
     scheduler_options = SchedulerOptions(attach_communications=False)
 
@@ -162,10 +159,7 @@ def run_stress_xl_bench(
         records.append(
             BenchmarkRecord(
                 name=f"XL-{task_count}",
-                title=(
-                    f"balance N={task_count} on M={PROCESSOR_COUNT} "
-                    f"(engine={engine})"
-                ),
+                title=f"balance N={task_count} on M={PROCESSOR_COUNT}",
                 wall_times=wall_times,
                 metrics={
                     "task_count": float(task_count),
@@ -211,7 +205,6 @@ def run_stress_xl_bench(
             "base_period": BASE_PERIOD,
             "repeats": repeats,
             "seed": seed,
-            "engine": engine,
             "exponent_ceiling": EXPONENT_CEILING,
         },
         records=records,

@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench_xl = bench_sub.add_parser(
         "stress-xl",
-        help="time-vs-N scaling curve of the balancer on the array kernels",
+        help="time-vs-N scaling curve of the balancer",
     )
     bench_xl.add_argument(
         "--preset",
@@ -408,12 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     bench_xl.add_argument(
         "--seed", type=int, default=2008, help="workload seed (default: 2008)"
-    )
-    bench_xl.add_argument(
-        "--engine",
-        choices=("array", "python"),
-        default="array",
-        help="occupancy engine to time (default: array)",
     )
     bench_xl.add_argument(
         "--output",
@@ -965,10 +959,7 @@ def _run_bench(args: argparse.Namespace) -> int:
         from repro.bench.stress_xl import XL_CURVE_NAME, run_stress_xl_bench
 
         artifact = run_stress_xl_bench(
-            preset=args.preset,
-            repeats=args.repeats,
-            seed=args.seed,
-            engine=args.engine,
+            preset=args.preset, repeats=args.repeats, seed=args.seed
         )
         written = artifact.save(args.output) if args.output else None
         if args.json:

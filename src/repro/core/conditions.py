@@ -24,7 +24,6 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 from repro.core.blocks import Block
-from repro.core.kernels import ArrayConflictEngine, make_engine
 from repro.core.occupancy import ConflictEngine
 from repro.epsilon import EPSILON
 from repro.scheduling.periodic_intervals import circular_overlap
@@ -100,19 +99,11 @@ class BalancingState:
     moved_patterns: dict[str, list[tuple[float, float]]] = field(default_factory=dict)
     #: Incremental occupancy index answering steady-state queries in
     #: ``O(log n)``; attached by :meth:`attach_engine` before balancing.
-    engine: ConflictEngine | ArrayConflictEngine | None = None
+    engine: ConflictEngine | None = None
 
-    def attach_engine(
-        self, processors: Iterable[str], *, kind: str = "python"
-    ) -> ConflictEngine | ArrayConflictEngine:
-        """Create (and own) the incremental conflict engine for this run.
-
-        ``kind`` selects the implementation (see
-        :data:`repro.core.kernels.ENGINE_KINDS`): the per-object Python
-        timelines or the flat-array kernels.  Both answer identically; the
-        balancer's ``cross_check`` oracle guards that equivalence at runtime.
-        """
-        self.engine = make_engine(kind, self.hyper_period, processors)
+    def attach_engine(self, processors: Iterable[str]) -> ConflictEngine:
+        """Create (and own) the incremental conflict engine for this run."""
+        self.engine = ConflictEngine(self.hyper_period, processors)
         return self.engine
 
     def processor(self, name: str) -> ProcessorState:

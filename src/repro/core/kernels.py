@@ -1,451 +1,32 @@
-"""Flat-array occupancy kernels: the vectorised steady-state hot path.
+"""The initial scheduler's vectorised pattern-probe kernel.
 
-At paper scale (N≈40) the per-object :class:`~repro.core.occupancy.OccupancyTimeline`
-is plenty; at the ROADMAP north-star scale (N=5k–50k) the balancer issues
-millions of overlap queries and the per-piece Python loops dominate the run.
-This module keeps the same occupancy information as **parallel numpy arrays**
-— piece starts, ends, the running prefix maximum of ends and interned owner
-ids — so that
+:func:`clearing_shift_batch` computes the first-conflict clearing shift of a
+candidate task pattern against a processor's busy pieces, evaluated as one
+(count × pieces) matrix instead of nested Python loops.  Its elementwise
+overlap test applies the same :data:`repro.epsilon.EPSILON` rules as
+:func:`repro.scheduling.periodic_intervals.circular_overlap`, and float64
+numpy arithmetic (``%``, comparisons) is bit-identical to Python floats, so
+the kernel answers exactly what the scheduler's pure-Python reference scan
+would; ``tests/test_kernels.py`` pins that equivalence.
 
-* one query against one timeline is a vectorised ``searchsorted`` plus a
-  prefix-maximum comparison (no Python-level scan),
-* a whole candidate pattern (every piece of a block, or every candidate
-  offset the balancer wants to probe) is evaluated in **one**
-  :meth:`ArrayTimeline.overlaps_batch` call, and
-* all M target processors of the safe fallback are answered through
-  :meth:`ArrayConflictEngine.compatible_batch`.
-
-Semantics are *identical* to the Python engine by construction: every kernel
-normalises circular intervals through the same
-:func:`repro.scheduling.periodic_intervals.normalize_pieces` rule, applies
-the same :data:`repro.epsilon.EPSILON` comparisons, and float64 numpy
-arithmetic (``%``, ``max``, comparisons) is bit-identical to Python floats.
-The equivalence is pinned three ways: the ``cross_check`` oracle of
-:class:`repro.core.load_balancer.LoadBalancer`, the property suite in
-``tests/test_kernels.py``, and the byte-identical E6/E7 tables required by
-ISSUE 10.
-
-The module also hosts :func:`clearing_shift_batch`, the initial scheduler's
-pattern-probe kernel: the first-conflict clearing shift of a candidate task
-pattern against a processor's busy pieces, evaluated as one (count × pieces)
-matrix instead of nested Python loops.
-
-Engine selection
-----------------
-:func:`make_engine` builds either engine kind; :data:`DEFAULT_ENGINE` is what
-``LoadBalancerOptions.engine`` defaults to (read at options-construction
-time, so tests can monkeypatch it to re-run whole experiments on the Python
-engine).
+The balancer's steady-state conflict engine lives in
+:mod:`repro.core.occupancy`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
-
 import numpy as np
 
-from repro.errors import SchedulingError
+from repro.core.occupancy import ConflictEngine
 from repro.scheduling.periodic_intervals import EPSILON as _EPS
-from repro.scheduling.periodic_intervals import clearing_shift, normalize_pieces
+from repro.scheduling.periodic_intervals import clearing_shift
 
-__all__ = [
-    "DEFAULT_ENGINE",
-    "ENGINE_KINDS",
-    "ArrayTimeline",
-    "ArrayConflictEngine",
-    "clearing_shift_batch",
-    "make_engine",
-]
-
-#: Engine kinds accepted by ``LoadBalancerOptions.engine``.
-ENGINE_KINDS: tuple[str, ...] = ("python", "array")
-
-#: The engine new ``LoadBalancerOptions`` instances default to.  Module-level
-#: (not baked into the dataclass default) so a monkeypatch flips every
-#: subsequently built options object — that is how the E6/E7 byte-identity
-#: test replays whole experiments on the Python engine.
-DEFAULT_ENGINE: str = "array"
-
-#: Owner id stored for pieces added without an owner tag.
-_NO_OWNER = 0
+__all__ = ["clearing_shift_batch"]
 
 
-class ArrayTimeline:
-    """Flat-array mirror of :class:`~repro.core.occupancy.OccupancyTimeline`.
-
-    Pieces live in parallel numpy arrays sorted by start; owners (task names
-    or ``None``) are interned to integer ids so exclusion tests vectorise as
-    ``np.isin``.  All epsilon decisions reuse the shared constants, so every
-    query answers exactly what the Python timeline would.
-    """
-
-    __slots__ = (
-        "period",
-        "_size",
-        "_starts",
-        "_ends",
-        "_prefix_max",
-        "_owner_ids",
-        "_id_of_owner",
-        "_owner_of_id",
-    )
-
-    def __init__(self, period: float) -> None:
-        if period <= 0:
-            raise SchedulingError(f"Occupancy period must be positive, got {period}")
-        self.period = float(period)
-        self._size = 0
-        self._starts = np.empty(8, dtype=np.float64)
-        self._ends = np.empty(8, dtype=np.float64)
-        self._prefix_max = np.empty(8, dtype=np.float64)
-        self._owner_ids = np.empty(8, dtype=np.int64)
-        self._id_of_owner: dict[object, int] = {None: _NO_OWNER}
-        self._owner_of_id: list[object] = [None]
-
-    def __len__(self) -> int:
-        return self._size
-
-    # ------------------------------------------------------------------
-    # Owner interning
-    # ------------------------------------------------------------------
-    def _intern(self, owner: object) -> int:
-        owner_id = self._id_of_owner.get(owner)
-        if owner_id is None:
-            owner_id = len(self._owner_of_id)
-            self._id_of_owner[owner] = owner_id
-            self._owner_of_id.append(owner)
-        return owner_id
-
-    def _exclude_ids(self, exclude: Iterable) -> np.ndarray | None:
-        """Interned ids of ``exclude`` owners already present, or ``None``."""
-        ids = [
-            self._id_of_owner[owner] for owner in exclude if owner in self._id_of_owner
-        ]
-        return np.asarray(ids, dtype=np.int64) if ids else None
-
-    # ------------------------------------------------------------------
-    # Introspection (mirrors OccupancyTimeline for the property suite)
-    # ------------------------------------------------------------------
-    def intervals(self) -> list[tuple[float, float, object]]:
-        """Stored ``(start, end, owner)`` pieces in start order."""
-        n = self._size
-        return [
-            (float(self._starts[i]), float(self._ends[i]), self._owner_of_id[int(self._owner_ids[i])])
-            for i in range(n)
-        ]
-
-    @property
-    def busy_time(self) -> float:
-        """Sum of piece lengths (double-counts overlapping pieces)."""
-        return sum(
-            float(self._ends[i]) - float(self._starts[i]) for i in range(self._size)
-        )
-
-    # ------------------------------------------------------------------
-    # Updates
-    # ------------------------------------------------------------------
-    def _grow(self, extra: int) -> None:
-        needed = self._size + extra
-        capacity = len(self._starts)
-        if needed <= capacity:
-            return
-        while capacity < needed:
-            capacity *= 2
-        for name in ("_starts", "_ends", "_prefix_max", "_owner_ids"):
-            old = getattr(self, name)
-            fresh = np.empty(capacity, dtype=old.dtype)
-            fresh[: self._size] = old[: self._size]
-            setattr(self, name, fresh)
-
-    def _rebuild_prefix(self) -> None:
-        n = self._size
-        if n:
-            np.maximum.accumulate(self._ends[:n], out=self._prefix_max[:n])
-
-    def add(self, offset: float, length: float, owner: object = None) -> None:
-        """Insert the circular interval ``[offset, offset + length)``."""
-        owner_id = self._intern(owner)
-        for begin, end in normalize_pieces(offset, length, self.period):
-            self._grow(1)
-            n = self._size
-            index = int(np.searchsorted(self._starts[:n], begin, side="left"))
-            for arr, value in (
-                (self._starts, begin),
-                (self._ends, end),
-                (self._owner_ids, owner_id),
-            ):
-                arr[index + 1 : n + 1] = arr[index:n].copy()
-                arr[index] = value
-            self._size = n + 1
-            self._rebuild_prefix()
-
-    def extend(self, items: Iterable[tuple[float, float, object]]) -> None:
-        """Bulk-insert circular ``(offset, length, owner)`` intervals.
-
-        One stable merge-sort pass over old plus new pieces and one prefix
-        accumulation — the array twin of ``OccupancyTimeline.extend``.
-        """
-        pieces: list[tuple[float, float, int]] = []
-        for offset, length, owner in items:
-            owner_id = self._intern(owner)
-            for begin, end in normalize_pieces(offset, length, self.period):
-                pieces.append((begin, end, owner_id))
-        if not pieces:
-            return
-        n = self._size
-        new_starts = np.asarray([p[0] for p in pieces], dtype=np.float64)
-        new_ends = np.asarray([p[1] for p in pieces], dtype=np.float64)
-        new_owner_ids = np.asarray([p[2] for p in pieces], dtype=np.int64)
-        starts = np.concatenate([self._starts[:n], new_starts])
-        ends = np.concatenate([self._ends[:n], new_ends])
-        owner_ids = np.concatenate([self._owner_ids[:n], new_owner_ids])
-        order = np.argsort(starts, kind="stable")
-        total = len(order)
-        capacity = len(self._starts)
-        while capacity < total:
-            capacity *= 2
-        if capacity != len(self._starts):
-            self._starts = np.empty(capacity, dtype=np.float64)
-            self._ends = np.empty(capacity, dtype=np.float64)
-            self._prefix_max = np.empty(capacity, dtype=np.float64)
-            self._owner_ids = np.empty(capacity, dtype=np.int64)
-        self._size = total
-        self._starts[:total] = starts[order]
-        self._ends[:total] = ends[order]
-        self._owner_ids[:total] = owner_ids[order]
-        self._rebuild_prefix()
-
-    def remove(self, offset: float, length: float, owner: object = None) -> None:
-        """Remove a previously added interval (epsilon-matched, like the Python engine).
-
-        Raises
-        ------
-        SchedulingError
-            When no matching piece is stored.
-        """
-        owner_id = self._id_of_owner.get(owner, -1)
-        for begin, end in normalize_pieces(offset, length, self.period):
-            n = self._size
-            index = int(np.searchsorted(self._starts[:n], begin - _EPS, side="left"))
-            found = -1
-            while index < n and self._starts[index] <= begin + _EPS:
-                if (
-                    abs(float(self._ends[index]) - end) <= _EPS
-                    and int(self._owner_ids[index]) == owner_id
-                ):
-                    found = index
-                    break
-                index += 1
-            if found < 0:
-                raise SchedulingError(
-                    f"Occupancy piece [{begin:g}, {end:g}) of {owner!r} is not stored; "
-                    "incremental bookkeeping diverged"
-                )
-            for arr in (self._starts, self._ends, self._owner_ids):
-                arr[found : n - 1] = arr[found + 1 : n].copy()
-            self._size = n - 1
-            self._rebuild_prefix()
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def overlaps(
-        self, offset: float, length: float, exclude: frozenset | Iterable = frozenset()
-    ) -> bool:
-        """``True`` when the circular interval hits a stored piece.
-
-        Same contract as ``OccupancyTimeline.overlaps``.  Without exclusions
-        the answer is a single prefix-maximum comparison: with ``i`` the
-        number of stored pieces starting strictly before the query window's
-        high end, a hit exists iff ``max(ends[:i]) > low``.
-        """
-        n = self._size
-        if length <= _EPS or not n:
-            return False
-        exclude_ids = self._exclude_ids(exclude) if exclude else None
-        starts = self._starts[:n]
-        for query_start, query_end in normalize_pieces(offset, length, self.period):
-            low = query_start + _EPS
-            high = query_end - _EPS
-            i = int(np.searchsorted(starts, high, side="left"))
-            if i == 0:
-                continue
-            if exclude_ids is None:
-                if self._prefix_max[i - 1] > low:
-                    return True
-            else:
-                hits = self._ends[:i] > low
-                if hits.any() and bool(
-                    (~np.isin(self._owner_ids[:i][hits], exclude_ids)).any()
-                ):
-                    return True
-        return False
-
-    def overlaps_batch(
-        self,
-        pattern: Sequence[tuple[float, float]],
-        exclude: frozenset | Iterable = frozenset(),
-    ) -> np.ndarray:
-        """Per-interval overlap verdicts for a whole pattern, in one sweep.
-
-        ``pattern`` is a sequence of circular ``(offset, length)`` intervals;
-        the result is a boolean array of the same length, element ``j`` being
-        exactly ``self.overlaps(*pattern[j], exclude)``.  All normalised
-        query pieces go through one vectorised ``searchsorted``.
-        """
-        verdicts = np.zeros(len(pattern), dtype=bool)
-        n = self._size
-        if not n or not len(pattern):
-            return verdicts
-        lows: list[float] = []
-        highs: list[float] = []
-        origins: list[int] = []
-        for j, (offset, length) in enumerate(pattern):
-            if length <= _EPS:
-                continue
-            for query_start, query_end in normalize_pieces(offset, length, self.period):
-                lows.append(query_start + _EPS)
-                highs.append(query_end - _EPS)
-                origins.append(j)
-        if not lows:
-            return verdicts
-        low_arr = np.asarray(lows, dtype=np.float64)
-        high_arr = np.asarray(highs, dtype=np.float64)
-        origin_arr = np.asarray(origins, dtype=np.int64)
-        window = np.searchsorted(self._starts[:n], high_arr, side="left")
-        nonempty = window > 0
-        exclude_ids = self._exclude_ids(exclude) if exclude else None
-        if exclude_ids is None:
-            hit = nonempty.copy()
-            hit[nonempty] = (
-                self._prefix_max[window[nonempty] - 1] > low_arr[nonempty]
-            )
-        else:
-            hit = np.zeros(len(low_arr), dtype=bool)
-            for k in np.flatnonzero(nonempty):
-                i = int(window[k])
-                hits = self._ends[:i] > low_arr[k]
-                hit[k] = bool(hits.any()) and bool(
-                    (~np.isin(self._owner_ids[:i][hits], exclude_ids)).any()
-                )
-        np.logical_or.at(verdicts, origin_arr, hit)
-        return verdicts
-
-    def overlaps_pattern(
-        self,
-        pattern: Iterable[tuple[float, float]],
-        exclude: frozenset | Iterable = frozenset(),
-    ) -> bool:
-        """``True`` when any ``(offset, length)`` of ``pattern`` hits a piece."""
-        return bool(self.overlaps_batch(list(pattern), exclude).any())
-
-
-class ArrayConflictEngine:
-    """Drop-in :class:`~repro.core.occupancy.ConflictEngine` on array timelines.
-
-    Same public surface (``occupy``/``reside``/``reside_bulk``/``release``/
-    ``shift``/``compatible``/``compatible_batch``/pattern introspection), so
-    ``BalancingState.attach_engine(kind=...)`` can swap engines without the
-    balancer noticing anything but the speed.
-    """
-
-    __slots__ = ("hyper_period", "moved", "resident")
-
-    def __init__(self, hyper_period: int, processors: Iterable[str]) -> None:
-        if hyper_period <= 0:
-            raise SchedulingError(
-                f"Conflict engine needs a positive hyper-period, got {hyper_period}"
-            )
-        self.hyper_period = int(hyper_period)
-        self.moved: dict[str, ArrayTimeline] = {}
-        self.resident: dict[str, ArrayTimeline] = {}
-        for name in processors:
-            self.moved[name] = ArrayTimeline(self.hyper_period)
-            self.resident[name] = ArrayTimeline(self.hyper_period)
-
-    # ------------------------------------------------------------------
-    # Incremental updates
-    # ------------------------------------------------------------------
-    def occupy(self, processor: str, offset: float, length: float, owner: object = None) -> None:
-        """Record a pattern of a block accepted (moved) onto ``processor``."""
-        self.moved[processor].add(offset, length, owner)
-
-    def reside(self, processor: str, offset: float, length: float, owner: object) -> None:
-        """Record the current slot of a not-yet-processed instance."""
-        self.resident[processor].add(offset, length, owner)
-
-    def reside_bulk(
-        self, processor: str, items: Iterable[tuple[float, float, object]]
-    ) -> None:
-        """Record many resident slots at once (initial-schedule seeding)."""
-        self.resident[processor].extend(items)
-
-    def release(self, processor: str, offset: float, length: float, owner: object) -> None:
-        """Drop a resident slot (its block is about to be processed)."""
-        self.resident[processor].remove(offset, length, owner)
-
-    def shift(
-        self,
-        processor: str,
-        old_offset: float,
-        new_offset: float,
-        length: float,
-        owner: object,
-    ) -> None:
-        """Move a resident slot (a category-1 gain shifted the instance)."""
-        self.resident[processor].remove(old_offset, length, owner)
-        self.resident[processor].add(new_offset, length, owner)
-
-    # ------------------------------------------------------------------
-    # Queries
-    # ------------------------------------------------------------------
-    def compatible(
-        self,
-        processor: str,
-        pattern: Iterable[tuple[float, float]],
-        *,
-        include_resident: bool = False,
-        exclude: frozenset = frozenset(),
-    ) -> bool:
-        """Exact steady-state acceptance test against ``processor``."""
-        fixed = pattern if isinstance(pattern, Sequence) else list(pattern)
-        if bool(self.moved[processor].overlaps_batch(fixed).any()):
-            return False
-        if include_resident and bool(
-            self.resident[processor].overlaps_batch(fixed, exclude).any()
-        ):
-            return False
-        return True
-
-    def compatible_batch(
-        self,
-        processors: Iterable[str],
-        pattern: Iterable[tuple[float, float]],
-        *,
-        include_resident: bool = False,
-        exclude: frozenset = frozenset(),
-    ) -> dict[str, bool]:
-        """:meth:`compatible` for all M target processors in one call.
-
-        Each processor's verdict is two vectorised pattern sweeps (moved +
-        resident timeline); the safe fallback of the balancer asks this for
-        the full processor list instead of looping per-piece in Python.
-        """
-        fixed = list(pattern)
-        return {
-            name: self.compatible(
-                name, fixed, include_resident=include_resident, exclude=exclude
-            )
-            for name in processors
-        }
-
-    def moved_pattern(self, processor: str) -> list[tuple[float, float]]:
-        """Linear pieces of the moved timeline (introspection/tests)."""
-        return [(s, e - s) for s, e, _owner in self.moved[processor].intervals()]
-
-    def resident_pattern(self, processor: str) -> list[tuple[float, float]]:
-        """Linear pieces of the resident timeline (introspection/tests)."""
-        return [(s, e - s) for s, e, _owner in self.resident[processor].intervals()]
+# Never instantiated: the only reader is the layer-probe list of perfbench/common.py.
+class ArrayConflictEngine(ConflictEngine):
+    pass
 
 
 def _first_overlap_in(
@@ -568,23 +149,3 @@ def clearing_shift_batch(
                     period,
                 )
     return 0.0
-
-
-def make_engine(
-    kind: str, hyper_period: int, processors: Iterable[str]
-):
-    """Build a conflict engine of the requested ``kind``.
-
-    ``"python"`` returns the per-object
-    :class:`~repro.core.occupancy.ConflictEngine`; ``"array"`` the
-    flat-array :class:`ArrayConflictEngine`.  Both expose the same surface.
-    """
-    if kind == "python":
-        from repro.core.occupancy import ConflictEngine
-
-        return ConflictEngine(hyper_period, processors)
-    if kind == "array":
-        return ArrayConflictEngine(hyper_period, processors)
-    raise SchedulingError(
-        f"Unknown conflict-engine kind {kind!r}; expected one of {ENGINE_KINDS}"
-    )

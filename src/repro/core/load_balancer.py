@@ -51,7 +51,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core import kernels
 from repro.core.blocks import Block, BlockBuildOptions, build_blocks
 from repro.core.conditions import (
     BalancingState,
@@ -119,12 +118,6 @@ class LoadBalancerOptions:
     #: computation, raising :class:`~repro.errors.SchedulingError` on any
     #: divergence.  Slow; meant for the property-test layer.
     cross_check: bool = False
-    #: Conflict-engine implementation answering the steady-state queries:
-    #: ``"python"`` (per-object timelines) or ``"array"`` (flat numpy
-    #: kernels, see :mod:`repro.core.kernels`).  Both are exactly
-    #: equivalent; the default tracks :data:`repro.core.kernels.DEFAULT_ENGINE`
-    #: at options-construction time.
-    engine: str = field(default_factory=lambda: kernels.DEFAULT_ENGINE)
     #: Sampling stride of the ``cross_check`` oracle: every ``stride``-th
     #: cross-checked query runs the from-scratch comparison (1 = every
     #: query).  The oracle is quadratic, so checking every query at N=5000
@@ -150,11 +143,6 @@ class LoadBalancerOptions:
                 "retry_until_feasible requires verify_result: without the final "
                 "feasibility check the retry ladder can never trigger; pass "
                 "retry_until_feasible=False explicitly if verification is unwanted"
-            )
-        if self.engine not in kernels.ENGINE_KINDS:
-            raise ConfigurationError(
-                f"Unknown conflict-engine kind {self.engine!r}; expected one of "
-                f"{kernels.ENGINE_KINDS}"
             )
         if self.cross_check_stride < 1:
             raise ConfigurationError(
@@ -269,9 +257,7 @@ class LoadBalancer:
         state.in_edges = {key: tuple(edges) for key, edges in in_edges.items()}
         self._wcet = {name: task.wcet for name, task in self.graph.tasks.items()}
         self._block_of_instance: dict[tuple[str, int], int] = {}
-        engine = state.attach_engine(
-            self.architecture.processor_names, kind=self.options.engine
-        )
+        engine = state.attach_engine(self.architecture.processor_names)
         hyper_period = state.hyper_period
         self._cross_check_queries = 0
         # Seed the resident timelines in bulk: one sorted build per processor

@@ -157,9 +157,14 @@ class OccupancyTimeline:
             del self._ends[index]
             del self._owners[index]
             del self._prefix_max[index]
+            # A delete can only lower the running maximum; from the first
+            # index where the recomputed value equals the stored one, every
+            # later entry is unchanged too (the mirror of add's early exit).
             running = self._prefix_max[index - 1] if index else float("-inf")
             for j in range(index, len(self._prefix_max)):
                 running = max(running, self._ends[j])
+                if self._prefix_max[j] == running:
+                    break
                 self._prefix_max[j] = running
 
     # ------------------------------------------------------------------
@@ -200,13 +205,6 @@ class OccupancyTimeline:
                 index -= 1
         return False
 
-    def overlaps_pattern(
-        self,
-        pattern: Iterable[tuple[float, float]],
-        exclude: frozenset | Iterable = frozenset(),
-    ) -> bool:
-        """``True`` when any ``(offset, length)`` of ``pattern`` hits a piece."""
-        return any(self.overlaps(offset, length, exclude) for offset, length in pattern)
 
 class ConflictEngine:
     """Per-processor occupancy timelines driving steady-state acceptance.
@@ -304,9 +302,8 @@ class ConflictEngine:
     ) -> dict[str, bool]:
         """:meth:`compatible` over many processors (one verdict per name).
 
-        The python engine answers by looping; the array engine overrides this
-        with one vectorised sweep.  Keeping the method on both engines lets
-        the balancer's safe fallback stay engine-agnostic.
+        A plain loop over :meth:`compatible`; the balancer's safe fallback
+        asks it for the whole processor list in one call.
         """
         fixed = list(pattern)
         return {
@@ -315,11 +312,3 @@ class ConflictEngine:
             )
             for name in processors
         }
-
-    def moved_pattern(self, processor: str) -> list[tuple[float, float]]:
-        """Linear pieces of the moved timeline (introspection/tests)."""
-        return [(s, e - s) for s, e, _owner in self.moved[processor].intervals()]
-
-    def resident_pattern(self, processor: str) -> list[tuple[float, float]]:
-        """Linear pieces of the resident timeline (introspection/tests)."""
-        return [(s, e - s) for s, e, _owner in self.resident[processor].intervals()]

@@ -110,8 +110,8 @@ def normalize_pieces(
 ) -> tuple[tuple[float, float], ...]:
     """Canonical linear pieces of a circular interval, as a tuple.
 
-    The single normalisation rule shared by :func:`split_wrapping`, the
-    occupancy-timeline fast path and the flat-array kernels: an interval
+    The single normalisation rule shared by :func:`split_wrapping` and the
+    occupancy-timeline fast path: an interval
     crossing the period boundary always wraps, and any resulting piece
     shorter than :data:`EPSILON` is dropped.  Returning a tuple keeps the
     hot paths allocation-light (no intermediate list plus filter pass).

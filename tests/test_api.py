@@ -87,8 +87,9 @@ class TestRegistry:
             balance(paper_schedule, "simulated_annealing")
 
     def test_unknown_parameter_rejected(self, paper_schedule):
-        with pytest.raises(ConfigurationError, match="does not accept"):
-            balance(paper_schedule, "paper", temperature=3)
+        for unknown in ({"temperature": 3}, {"engine": "array"}):
+            with pytest.raises(ConfigurationError, match="does not accept"):
+                balance(paper_schedule, "paper", **unknown)
 
     def test_unknown_cost_policy_rejected(self, paper_schedule):
         with pytest.raises(ConfigurationError, match="Unknown cost policy"):

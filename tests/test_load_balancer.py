@@ -113,6 +113,13 @@ class TestOptionValidation:
         options = LoadBalancerOptions(protect_unmoved=True)
         assert options.enforce_steady_state
 
+    def test_cross_check_stride_validated(self):
+        with pytest.raises(ConfigurationError, match="must be >= 1"):
+            LoadBalancerOptions(cross_check_stride=0)
+        with pytest.raises(ConfigurationError, match="requires cross_check"):
+            LoadBalancerOptions(cross_check=False, cross_check_stride=7)
+        LoadBalancerOptions(cross_check=True, cross_check_stride=7)
+
     def test_cross_check_matches_default_run(self, paper_schedule):
         plain = balance_schedule(paper_schedule)
         checked = balance_schedule(paper_schedule, LoadBalancerOptions(cross_check=True))
